@@ -82,15 +82,15 @@ grep -q 'mean slowdown' /tmp/dcnr_routes_smoke.out
 ./target/release/dcnr sweep --scenario routes --seeds 2 --jobs 2 \
     --resamples 200 --scale 0.25 >/tmp/dcnr_routes_jobs2.out 2>/dev/null
 cmp /tmp/dcnr_routes_jobs1.out /tmp/dcnr_routes_jobs2.out
-# Record the forwarding-table build + invalidation wall clock (and the
-# allocating-vs-scratch blast sweep delta) at scale 1. BENCH_routes.json
-# is committed; timings never enter artifact bytes.
+# Profile the forwarding-table build + invalidation wall clock (and the
+# allocating-vs-scratch blast sweep delta) at scale 1. The profile goes
+# under /tmp: CI never rewrites the committed BENCH_routes.json.
 ./target/release/dcnr profile --scenario routes --scale 1 \
-    --json BENCH_routes.json >/dev/null
-grep -q '"phase": "routes.forwarding.build"' BENCH_routes.json
-grep -q '"phase": "routes.forwarding.invalidate"' BENCH_routes.json
-grep -q '"phase": "routes.blast.alloc_per_candidate"' BENCH_routes.json
-grep -q '"phase": "routes.blast.scratch_reuse"' BENCH_routes.json
+    --json /tmp/dcnr_bench_routes.json >/dev/null
+grep -q '"phase": "routes.forwarding.build"' /tmp/dcnr_bench_routes.json
+grep -q '"phase": "routes.forwarding.invalidate"' /tmp/dcnr_bench_routes.json
+grep -q '"phase": "routes.blast.alloc_per_candidate"' /tmp/dcnr_bench_routes.json
+grep -q '"phase": "routes.blast.scratch_reuse"' /tmp/dcnr_bench_routes.json
 
 echo "==> survivability smoke (topology zoo, ranking flip, byte-identity)"
 # The topology listing must enumerate the zoo (stable order, exit 0),
@@ -125,13 +125,12 @@ grep -q 'lifespan band \[lo hi\]' /tmp/dcnr_surv_smoke.out
     --resamples 200 --scale 0.25 --topology dcell \
     >/tmp/dcnr_surv_jobs2.out 2>/dev/null
 cmp /tmp/dcnr_surv_jobs1.out /tmp/dcnr_surv_jobs2.out
-# Record the zoo sweep + lifespan replay wall clocks at scale 1.
-# BENCH_survivability.json is committed; timings never enter artifact
-# bytes.
+# Profile the zoo sweep + lifespan replay wall clocks at scale 1, under
+# /tmp: CI never rewrites the committed BENCH_survivability.json.
 ./target/release/dcnr profile --scenario survivability --scale 1 \
-    --json BENCH_survivability.json >/dev/null
-grep -q '"phase": "surv.ranking.sweep"' BENCH_survivability.json
-grep -q '"phase": "surv.lifespan.replay"' BENCH_survivability.json
+    --json /tmp/dcnr_bench_survivability.json >/dev/null
+grep -q '"phase": "surv.ranking.sweep"' /tmp/dcnr_bench_survivability.json
+grep -q '"phase": "surv.lifespan.replay"' /tmp/dcnr_bench_survivability.json
 
 echo "==> serve smoke (ephemeral port, loadgen, byte-identity, graceful drain)"
 # Start the report server on an ephemeral port in admin (test) mode.
@@ -185,6 +184,25 @@ cmp /tmp/dcnr_artifact_cli.out /tmp/dcnr_artifact_http.out
     '/artifacts/surv.lifespan?seed=11&scale=0.25&topology=dcell' \
     >/tmp/dcnr_surv_http.out
 cmp /tmp/dcnr_surv_cli.out /tmp/dcnr_surv_http.out
+# Study cache and single-flight: four concurrent cold fetches of one
+# intra key (a default-scale study, slow enough that all four arrive
+# while it builds) render once, and a second artifact of the same
+# study reuses the built study — a study-cache hit, not a second build.
+DCNR_FETCH_PIDS=""
+for _ in 1 2 3 4; do
+    ./target/release/dcnr -q fetch "$DCNR_ADDR" '/artifacts/table1?seed=5' \
+        >/dev/null &
+    DCNR_FETCH_PIDS="$DCNR_FETCH_PIDS $!"
+done
+for p in $DCNR_FETCH_PIDS; do wait "$p"; done
+./target/release/dcnr -q fetch "$DCNR_ADDR" '/artifacts/fig2?seed=5' >/dev/null
+./target/release/dcnr -q fetch "$DCNR_ADDR" /metrics --validate \
+    >/tmp/dcnr_serve_metrics.prom
+grep -q '^dcnr_server_coalesced_total{artifact="table1"}' /tmp/dcnr_serve_metrics.prom
+grep -q '^dcnr_server_study_cache_misses_total{study="intra"} 1$' \
+    /tmp/dcnr_serve_metrics.prom
+grep -q '^dcnr_server_study_cache_hits_total{study="intra"} 1$' \
+    /tmp/dcnr_serve_metrics.prom
 # Graceful drain: /admin/shutdown must end the server with exit 0.
 ./target/release/dcnr -q fetch "$DCNR_ADDR" /admin/shutdown >/dev/null
 wait "$DCNR_SERVE_PID"

@@ -16,7 +16,9 @@ use dcnr_core::{
     DcnrError, Experiment, FaultPlan, InterDcStudy, RunContext, Scenario, ScenarioKind,
     SupervisorConfig, SweepConfig,
 };
+use std::io::Write;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
@@ -273,6 +275,27 @@ fn parse_global_flags(argv: Vec<String>) -> Result<(GlobalFlags, Vec<String>), D
     Ok((flags, scan.into_rest()))
 }
 
+/// Writes `text` to stdout: the one writer for every command's results.
+/// A closed pipe (`dcnr artifact --list | head -1`) is a clean end of
+/// output: the rest is dropped and the command still exits 0.
+fn emit(text: impl std::fmt::Display) -> Result<(), DcnrError> {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return Ok(());
+    }
+    let mut out = std::io::stdout().lock();
+    match write!(out, "{text}").and_then(|()| out.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            CLOSED.store(true, Ordering::Relaxed);
+            Ok(())
+        }
+        written => written.map_err(|e| DcnrError::Io {
+            path: "stdout".into(),
+            message: e.to_string(),
+        }),
+    }
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
@@ -334,10 +357,7 @@ fn main() -> ExitCode {
         "profile" => cmd_profile(ArgScanner::new(argv), handle.as_ref()),
         "drill" => cmd_drill(ArgScanner::new(argv)),
         "risk" => cmd_risk(ArgScanner::new(argv)),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
+        "help" | "--help" | "-h" => emit(USAGE),
         other => Err(DcnrError::Usage(format!(
             "unknown command {other:?}\n\n{USAGE}"
         ))),
@@ -392,7 +412,7 @@ fn cmd_scenario(base: Scenario, mut args: ArgScanner) -> Result<(), DcnrError> {
         scenario.backbone.vendors
     ));
     let out = RunContext::new(scenario).try_execute()?;
-    print!("{}", out.rendered);
+    emit(&out.rendered)?;
     if out.passed {
         Ok(())
     } else {
@@ -454,7 +474,7 @@ fn cmd_sweep(
     let out = run_supervised(config, &sup)?;
     let elapsed = started.elapsed();
     logger::info(format!("sweep finished in {:.2}s", elapsed.as_secs_f64()));
-    print!("{}", out.rendered);
+    emit(&out.rendered)?;
     logger::info(out.supervision.trim_end_matches('\n'));
     if let (Some(m), Some(t)) = (out.replica_metrics.clone(), out.replica_trace.clone()) {
         *replica_telemetry = Some((m, t));
@@ -548,7 +568,7 @@ fn cmd_profile(
     let _out = RunContext::new(scenario).try_execute()?;
     let (metrics, _) = handle.snapshots();
     let rows = phase_rows(&metrics);
-    print!("{}", render_profile_table(&rows));
+    emit(render_profile_table(&rows))?;
     let json = render_profile_json(&kind.to_string(), scenario.seed, scenario.scale, &rows);
     std::fs::write(&json_path, json).map_err(|e| DcnrError::Io {
         path: json_path.clone(),
@@ -579,14 +599,14 @@ fn cmd_loadgen(mut args: ArgScanner) -> Result<(), DcnrError> {
             opts.addr, ol.arrivals, ol.overload
         ));
         let report = loadgen::run_open_loop(&opts)?;
-        print!("{}", report.rendered);
+        emit(&report.rendered)?;
     } else {
         logger::info(format!(
             "driving http://{} with {} clients x {} requests...",
             opts.addr, opts.clients, opts.requests
         ));
         let report = loadgen::run(&opts)?;
-        print!("{}", report.rendered);
+        emit(&report.rendered)?;
     }
     if let Some(path) = &opts.bench_json {
         logger::info(format!("wrote {path}"));
@@ -600,8 +620,8 @@ fn cmd_artifact(mut argv: Vec<String>) -> Result<(), DcnrError> {
     if argv.first().map(String::as_str) == Some("--list") {
         ArgScanner::new(argv.split_off(1)).finish()?;
         for a in artifacts::registry() {
-            println!("{:<22} {}", a.id.key(), a.id.title());
-            println!("{:<22} paper: {}", "", a.paper_baseline);
+            emit(format_args!("{:<22} {}\n", a.id.key(), a.id.title()))?;
+            emit(format_args!("{:<22} paper: {}\n", "", a.paper_baseline))?;
         }
         return Ok(());
     }
@@ -624,8 +644,7 @@ fn cmd_artifact(mut argv: Vec<String>) -> Result<(), DcnrError> {
     let base = Scenario::cli_default(artifacts::base_kind(experiment));
     let scenario = apply_scenario_flags(&mut args, base)?;
     args.finish()?;
-    print!("{}", serve::render_artifact_text(&scenario, experiment)?);
-    Ok(())
+    emit(serve::render_artifact_text(&scenario, experiment)?)
 }
 
 /// `dcnr topology --list`: enumerate the registered zoo topologies in
@@ -638,18 +657,18 @@ fn cmd_topology(mut argv: Vec<String>) -> Result<(), DcnrError> {
     ArgScanner::new(argv.split_off(1)).finish()?;
     for model in &dcnr_core::topology::zoo::ZOO {
         let topo = model.build(1.0);
-        println!("{:<10} {}", model.id, model.summary);
-        println!(
-            "{:<10} at scale 1: {} nodes, {} links",
+        emit(format_args!("{:<10} {}\n", model.id, model.summary))?;
+        emit(format_args!(
+            "{:<10} at scale 1: {} nodes, {} links\n",
             "",
             topo.device_count(),
             topo.link_count()
-        );
+        ))?;
         for p in model.params {
-            println!(
-                "{:<10}   {:<18} = {:<6} ({})",
+            emit(format_args!(
+                "{:<10}   {:<18} = {:<6} ({})\n",
                 "", p.name, p.at_scale_1, p.summary
-            );
+            ))?;
         }
     }
     Ok(())
@@ -704,8 +723,7 @@ fn cmd_fetch(argv: Vec<String>) -> Result<(), DcnrError> {
             .map_err(|e| DcnrError::Failed(format!("{target}: invalid Prometheus text: {e}")))?;
         logger::info(format!("{target}: Prometheus text format validated"));
     }
-    print!("{body}");
-    Ok(())
+    emit(body)
 }
 
 fn cmd_drill(args: ArgScanner) -> Result<(), DcnrError> {
@@ -716,27 +734,29 @@ fn cmd_drill(args: ArgScanner) -> Result<(), DcnrError> {
     let placement = Placement::default_mix(&region.topology);
     let model = ImpactModel::default();
 
-    println!("fault-injection sweep (every device, one at a time):");
+    emit(format_args!(
+        "fault-injection sweep (every device, one at a time):\n"
+    ))?;
     let drill = FaultInjectionDrill::sweep(&region, &placement, &model);
     for r in drill.reports() {
-        println!(
-            "  {:<5} n={:<4} worst={}   mean capacity loss {:>6.3}%",
+        emit(format_args!(
+            "  {:<5} n={:<4} worst={}   mean capacity loss {:>6.3}%\n",
             r.device_type.to_string(),
             r.devices,
             r.worst_severity,
             r.mean_capacity_loss * 100.0
-        );
+        ))?;
     }
-    println!("\ndisaster drills:");
+    emit(format_args!("\ndisaster drills:\n"))?;
     for dc in &region.datacenters {
         let r = disaster_drill(&region, &placement, &model, dc);
-        println!(
-            "  dc{}: {} racks lost / {} surviving, {:.1}% capacity lost",
+        emit(format_args!(
+            "  dc{}: {} racks lost / {} surviving, {:.1}% capacity lost\n",
             r.datacenter,
             r.racks_lost,
             r.racks_surviving,
             r.capacity_lost_fraction * 100.0
-        );
+        ))?;
     }
     Ok(())
 }
@@ -758,21 +778,21 @@ fn cmd_risk(mut args: ArgScanner) -> Result<(), DcnrError> {
     let report = inter
         .risk_report(trials)
         .ok_or_else(|| DcnrError::Failed("no edge failures observed; cannot assess risk".into()))?;
-    println!(
-        "expected concurrently-failed edges : {:.3}",
+    emit(format_args!(
+        "expected concurrently-failed edges : {:.3}\n",
         report.expected_failures
-    );
-    println!(
-        "p99.99 concurrent edge failures    : {}",
+    ))?;
+    emit(format_args!(
+        "p99.99 concurrent edge failures    : {}\n",
         report.p9999_failures
-    );
-    println!(
-        "P(all edges up)                    : {:.3}",
+    ))?;
+    emit(format_args!(
+        "P(all edges up)                    : {:.3}\n",
         report.p_all_up
-    );
-    println!(
-        "capacity headroom rule             : {:.1}%",
+    ))?;
+    emit(format_args!(
+        "capacity headroom rule             : {:.1}%\n",
         report.headroom_fraction * 100.0
-    );
+    ))?;
     Ok(())
 }

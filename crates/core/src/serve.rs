@@ -19,11 +19,15 @@
 //! scenario from [`Scenario::cli_default`] for the artifact's study and
 //! apply the **same** [`crate::cli::apply_scenario_flags`] (query pairs
 //! are rewritten to `--flag=value` arguments), then render through
-//! [`render_artifact_text`]. The cache is keyed like a checkpoint shard
+//! [`render_artifact_in`]. The cache is keyed like a checkpoint shard
 //! — scenario kind + seed + artifact id, with the scenario's `Debug`
 //! rendering as the same safety net [`crate::checkpoint::Manifest`]
 //! uses — so a hit can never serve a response the miss path would not
 //! have produced.
+//!
+//! Cold path: every artifact of one scenario renders from one shared
+//! study build (the study cache, keyed by [`study_key`]), and concurrent
+//! misses on one key wait for a single leader's render (single-flight).
 
 use crate::artifacts;
 use crate::cli::{apply_scenario_flags, ArgScanner};
@@ -44,7 +48,7 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 /// Which serving engine backs `dcnr serve`. Both speak the same wire
@@ -142,11 +146,11 @@ impl Default for ServeOptions {
 }
 
 /// Deterministic render-failure injection: render attempt `idx` (a
-/// process-wide miss counter) fails iff it falls inside the window
-/// `[skip, skip + limit)` (`limit == 0` means unbounded) *and* the
-/// per-index chance draw for `seed` lands under `rate`. With `rate`
-/// `1.0` the window is exact, which is what the breaker-lifecycle tests
-/// use to script failure runs.
+/// process-wide count of leader renders) runs, then fails iff it falls
+/// inside the window `[skip, skip + limit)` (`limit == 0` means
+/// unbounded) *and* the per-index chance draw for `seed` lands under
+/// `rate`. With `rate` `1.0` the window is exact, which is what the
+/// breaker-lifecycle tests use to script failure runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RenderFaultPlan {
     /// Probability a window attempt fails (`0.0` disables the hook).
@@ -215,6 +219,117 @@ struct ServeState {
     /// Reactor counters, published once after the events engine binds
     /// (and only then exported on `/metrics`); never set on threads.
     reactor: std::sync::OnceLock<Arc<ReactorStats>>,
+    /// Built studies, shared by every artifact of one scenario.
+    studies: StudyCache,
+    /// Renders in flight, by cache key: a concurrent miss on the same
+    /// key follows the leader's render instead of starting its own.
+    flights: Mutex<HashMap<String, Arc<Flight>>>,
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Built study contexts, so that every artifact of one scenario renders
+/// from one study build. Resident are every context some request still
+/// holds (found through a `Weak`) and the most recently used one — no
+/// capacity knob: one scale-1 intra study holds about 4.7 MB. Requests
+/// for one study share one context, whose `OnceLock`s make all but the
+/// first wait for the build instead of repeating it.
+#[derive(Default)]
+struct StudyCache {
+    map: Mutex<StudyMap>,
+}
+
+#[derive(Default)]
+struct StudyMap {
+    live: HashMap<String, Weak<RunContext>>,
+    recent: Option<Arc<RunContext>>,
+}
+
+impl StudyCache {
+    /// The shared context for `scenario`, and whether it was resident.
+    fn context(&self, scenario: &Scenario) -> (Arc<RunContext>, bool) {
+        let key = study_key(scenario);
+        let mut map = lock(&self.map);
+        let resident = map.live.get(&key).and_then(Weak::upgrade);
+        let hit = resident.is_some();
+        let ctx = resident.unwrap_or_else(|| {
+            map.live.retain(|_, held| held.strong_count() > 0);
+            let ctx = Arc::new(RunContext::new(*scenario));
+            map.live.insert(key, Arc::downgrade(&ctx));
+            ctx
+        });
+        let displaced = map.recent.replace(ctx.clone());
+        drop(map);
+        // A displaced study is freed, if at all, outside the lock.
+        drop(displaced);
+        (ctx, hit)
+    }
+
+    /// Renders `e` from the shared context of `scenario`'s study,
+    /// counting the study-cache hit or miss. A panicking build drops the
+    /// context, so the next miss starts afresh.
+    fn render(&self, scenario: &Scenario, e: Experiment) -> Result<String, DcnrError> {
+        let (ctx, hit) = self.context(scenario);
+        dcnr_telemetry::counter_add(
+            if hit {
+                "dcnr_server_study_cache_hits_total"
+            } else {
+                "dcnr_server_study_cache_misses_total"
+            },
+            &[("study", scenario.kind.name())],
+            1,
+        );
+        let rendered = render_artifact_in(&ctx, e);
+        if matches!(rendered, Err(DcnrError::Panic { .. })) {
+            // While `ctx` is held, the live entry for its key is `ctx`.
+            let mut map = lock(&self.map);
+            map.live.remove(&study_key(scenario));
+            map.recent.take_if(|recent| Arc::ptr_eq(recent, &ctx));
+        }
+        rendered
+    }
+}
+
+/// One render in flight, which concurrent misses on its key follow.
+#[derive(Default)]
+struct Flight {
+    /// The leader's rendered body, or the response its failure gave.
+    outcome: Mutex<Option<Result<Arc<String>, Response>>>,
+    landed: Condvar,
+}
+
+impl Flight {
+    /// Blocks until the leader lands, then returns its outcome.
+    fn wait(&self) -> Result<Arc<String>, Response> {
+        let landed = self
+            .landed
+            .wait_while(lock(&self.outcome), |outcome| outcome.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        landed.clone().expect("a landed flight holds an outcome")
+    }
+}
+
+/// The leader's hold on a flight. Dropping it lands the flight — also
+/// while unwinding, so no follower ever waits on a leader that is gone.
+struct Leader<'a> {
+    flights: &'a Mutex<HashMap<String, Arc<Flight>>>,
+    key: &'a str,
+    flight: Arc<Flight>,
+    outcome: Option<Result<Arc<String>, Response>>,
+}
+
+impl Drop for Leader<'_> {
+    fn drop(&mut self) {
+        lock(self.flights).remove(self.key);
+        let outcome = self
+            .outcome
+            .take()
+            .unwrap_or_else(|| Err(Response::internal_error("the render leader did not finish")));
+        *lock(&self.flight.outcome) = Some(outcome);
+        self.flight.landed.notify_all();
+    }
 }
 
 /// The engine actually serving, behind one seam.
@@ -322,6 +437,8 @@ pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
         render_faults: opts.render_faults,
         render_attempts: AtomicU64::new(0),
         reactor: std::sync::OnceLock::new(),
+        studies: StudyCache::default(),
+        flights: Mutex::new(HashMap::new()),
     });
     let handler: Handler = {
         let state = state.clone();
@@ -599,7 +716,7 @@ fn metrics_response(state: &ServeState) -> Response {
             },
         );
     }
-    for (artifact, breaker) in lock_breakers(state).iter() {
+    for (artifact, breaker) in lock(&state.breakers).iter() {
         snapshot.gauges.insert(
             Key::new("dcnr_server_breaker_state", &[("artifact", artifact)]),
             breaker.state().code(),
@@ -622,15 +739,6 @@ fn metrics_response(state: &ServeState) -> Response {
     let mut response = Response::ok(prometheus::render(&snapshot));
     response.content_type = "text/plain; version=0.0.4";
     response
-}
-
-fn lock_breakers(
-    state: &ServeState,
-) -> std::sync::MutexGuard<'_, HashMap<&'static str, CircuitBreaker>> {
-    state
-        .breakers
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The accept-queue depth at which cache misses brown out: renders are
@@ -682,30 +790,124 @@ fn artifact_response(state: &ServeState, id: &str, query: &str) -> Response {
     let artifact_key = experiment.key();
     let key = cache_key(&scenario, artifact_key);
     if let Some(body) = state.cache.get(&key) {
-        dcnr_telemetry::counter_add(
-            "dcnr_server_cache_hits_total",
-            &[("artifact", artifact_key)],
-            1,
-        );
-        return Response::ok(body.as_str());
+        return cache_hit(artifact_key, &body);
+    }
+
+    // Join the render in flight for this key, or become its leader. The
+    // lock spans the admission checks, so exactly one request leads and
+    // a follower never takes a breaker probe slot.
+    let mut flights = lock(&state.flights);
+    if let Some(flight) = flights.get(&key).cloned() {
+        drop(flights);
+        return follow(state, &key, artifact_key, &flight);
+    }
+    // A leader that landed since the lookup above has filled the cache.
+    if let Some(body) = state.cache.get(&key) {
+        return cache_hit(artifact_key, &body);
     }
     dcnr_telemetry::counter_add(
         "dcnr_server_cache_misses_total",
         &[("artifact", artifact_key)],
         1,
     );
+    if let Some(refused) = refuse_render(state, &key, artifact_key) {
+        return refused;
+    }
+    let flight = Arc::new(Flight::default());
+    flights.insert(key.clone(), flight.clone());
+    drop(flights);
+    let mut leader = Leader {
+        flights: &state.flights,
+        key: &key,
+        flight,
+        outcome: None,
+    };
 
+    // Deterministic render-fault hook (tests and the chaos harness). It
+    // fails a render that ran, so an injected failure takes as long as
+    // a real late one and its followers really wait on it.
+    let idx = state.render_attempts.fetch_add(1, Ordering::Relaxed);
+    let rendered = state
+        .studies
+        .render(&scenario, experiment)
+        .and_then(|text| {
+            if !state.render_faults.fires(idx) {
+                return Ok(text);
+            }
+            dcnr_telemetry::counter_add(
+                "dcnr_server_render_faults_total",
+                &[("artifact", artifact_key)],
+                1,
+            );
+            Err(DcnrError::Io {
+                path: format!("render[{idx}]"),
+                message: "injected render fault".into(),
+            })
+        });
+
+    let mut breakers = lock(&state.breakers);
+    let breaker = breakers
+        .entry(artifact_key)
+        .or_insert_with(|| CircuitBreaker::new(state.breaker_config));
+    match rendered {
+        Ok(text) => {
+            breaker.record_success();
+            drop(breakers);
+            let body = Arc::new(text);
+            state.cache.insert(key.clone(), body.clone());
+            state.stale.insert(key.clone(), body.clone());
+            let response = Response::ok(body.as_str());
+            leader.outcome = Some(Ok(body));
+            response
+        }
+        // The scenario was validated with the query, so a failure here
+        // is the render path's: a study panic or an injected fault.
+        Err(e) => {
+            breaker.record_failure(Instant::now());
+            drop(breakers);
+            dcnr_telemetry::counter_add(
+                "dcnr_server_render_failures_total",
+                &[("artifact", artifact_key)],
+                1,
+            );
+            let response = Response::internal_error(e);
+            leader.outcome = Some(Err(response.clone()));
+            stale_response(state, &key, artifact_key, "render-failed").unwrap_or(response)
+        }
+    }
+}
+
+fn cache_hit(artifact: &'static str, body: &str) -> Response {
+    dcnr_telemetry::counter_add("dcnr_server_cache_hits_total", &[("artifact", artifact)], 1);
+    Response::ok(body)
+}
+
+/// Answers a miss that joined `flight`: counted as a cache hit (the
+/// leader counted the miss) and as coalesced, it waits for the leader
+/// and takes its body. If the leader failed it answers from the stale
+/// store, or with the leader's status; it never renders itself.
+fn follow(state: &ServeState, key: &str, artifact: &'static str, flight: &Flight) -> Response {
+    dcnr_telemetry::counter_add("dcnr_server_cache_hits_total", &[("artifact", artifact)], 1);
+    dcnr_telemetry::counter_add("dcnr_server_coalesced_total", &[("artifact", artifact)], 1);
+    match flight.wait() {
+        Ok(body) => Response::ok(body.as_str()),
+        Err(failed) => stale_response(state, key, artifact, "render-failed").unwrap_or(failed),
+    }
+}
+
+/// Brownout and the circuit breaker: the answer to a miss that may not
+/// render now, or `None` if it may.
+fn refuse_render(state: &ServeState, key: &str, artifact: &'static str) -> Option<Response> {
     // Brownout: a saturated accept queue means renders cannot keep up;
     // serve stale if we can, shed the miss if we cannot.
     let depth = state.stats.queue_depth.load(Ordering::Relaxed).max(0) as usize;
     if depth >= brownout_threshold(state.queue_depth) {
-        dcnr_telemetry::counter_add(
-            "dcnr_server_brownout_total",
-            &[("artifact", artifact_key)],
-            1,
+        dcnr_telemetry::counter_add("dcnr_server_brownout_total", &[("artifact", artifact)], 1);
+        return Some(
+            stale_response(state, key, artifact, "saturated").unwrap_or_else(|| {
+                unavailable_for(Duration::from_secs(1), "render queue saturated")
+            }),
         );
-        return stale_response(state, &key, artifact_key, "saturated")
-            .unwrap_or_else(|| unavailable_for(Duration::from_secs(1), "render queue saturated"));
     }
 
     // Circuit breaker around the render path: while open, misses are
@@ -713,76 +915,24 @@ fn artifact_response(state: &ServeState, id: &str, query: &str) -> Response {
     // that keeps failing; a half-open probe readmits one render after
     // the cooldown.
     let now = Instant::now();
-    let admitted = lock_breakers(state)
-        .entry(artifact_key)
-        .or_insert_with(|| CircuitBreaker::new(state.breaker_config))
-        .try_acquire(now);
-    if !admitted {
-        dcnr_telemetry::counter_add(
-            "dcnr_server_breaker_rejected_total",
-            &[("artifact", artifact_key)],
-            1,
-        );
-        if let Some(response) = stale_response(state, &key, artifact_key, "breaker-open") {
-            return response;
-        }
-        let after = lock_breakers(state)
-            .get(artifact_key)
-            .map(|b| b.retry_after(now))
-            .unwrap_or_default();
-        return unavailable_for(after, "artifact render circuit open");
+    let mut breakers = lock(&state.breakers);
+    let breaker = breakers
+        .entry(artifact)
+        .or_insert_with(|| CircuitBreaker::new(state.breaker_config));
+    if breaker.try_acquire(now) {
+        return None;
     }
-
-    // Deterministic render-fault hook (tests and the chaos harness).
-    let idx = state.render_attempts.fetch_add(1, Ordering::Relaxed);
-    let rendered = if state.render_faults.fires(idx) {
-        dcnr_telemetry::counter_add(
-            "dcnr_server_render_faults_total",
-            &[("artifact", artifact_key)],
-            1,
-        );
-        Err(DcnrError::Io {
-            path: format!("render[{idx}]"),
-            message: "injected render fault".into(),
-        })
-    } else {
-        render_artifact_text(&scenario, experiment)
-    };
-
-    match rendered {
-        Ok(text) => {
-            lock_breakers(state)
-                .entry(artifact_key)
-                .or_insert_with(|| CircuitBreaker::new(state.breaker_config))
-                .record_success();
-            let body = Arc::new(text.clone());
-            state.cache.insert(key.clone(), body.clone());
-            state.stale.insert(key, body);
-            Response::ok(text)
-        }
-        Err(e @ (DcnrError::Config(_) | DcnrError::Usage(_))) => {
-            // The request was wrong, not the render path — the probe
-            // (if any) completes successfully for breaker purposes.
-            lock_breakers(state)
-                .entry(artifact_key)
-                .or_insert_with(|| CircuitBreaker::new(state.breaker_config))
-                .record_success();
-            Response::bad_request(e)
-        }
-        Err(e) => {
-            lock_breakers(state)
-                .entry(artifact_key)
-                .or_insert_with(|| CircuitBreaker::new(state.breaker_config))
-                .record_failure(Instant::now());
-            dcnr_telemetry::counter_add(
-                "dcnr_server_render_failures_total",
-                &[("artifact", artifact_key)],
-                1,
-            );
-            stale_response(state, &key, artifact_key, "render-failed")
-                .unwrap_or_else(|| Response::internal_error(e))
-        }
-    }
+    let after = breaker.retry_after(now);
+    drop(breakers);
+    dcnr_telemetry::counter_add(
+        "dcnr_server_breaker_rejected_total",
+        &[("artifact", artifact)],
+        1,
+    );
+    Some(
+        stale_response(state, key, artifact, "breaker-open")
+            .unwrap_or_else(|| unavailable_for(after, "artifact render circuit open")),
+    )
 }
 
 fn sweep_response(state: &ServeState, name: &str) -> Response {
@@ -853,25 +1003,33 @@ pub fn scenario_query(s: &Scenario) -> String {
     q
 }
 
-/// The result-cache key for (`scenario`, `artifact`): kind + master
-/// seed + artifact id, plus the scenario's `Debug` rendering as the
-/// exact-match safety net the checkpoint manifest uses — any scenario
-/// knob, present or future, distinguishes cache entries.
-pub fn cache_key(scenario: &Scenario, artifact: &str) -> String {
-    format!(
-        "{}|{:#018x}|{}|{:?}",
-        scenario.kind, scenario.seed, artifact, scenario
-    )
+/// The study-cache key for `scenario`: kind + master seed, plus the
+/// scenario's `Debug` rendering as the exact-match safety net the
+/// checkpoint manifest uses — any scenario knob, present or future,
+/// distinguishes studies. Every artifact of one scenario shares it.
+pub fn study_key(scenario: &Scenario) -> String {
+    format!("{}|{:#018x}|{:?}", scenario.kind, scenario.seed, scenario)
 }
 
-/// Renders one artifact for `scenario`: validate, run the (lazily
-/// cached) study, render the block — with a study panic converted to a
-/// typed error at this boundary, exactly like `RunContext::try_execute`.
-/// Both `dcnr artifact` and the server's miss path call this, which is
-/// what makes their bytes identical.
+/// The result-cache key for (`scenario`, `artifact`): the study key
+/// plus the artifact id, so the two keys cannot drift apart.
+pub fn cache_key(scenario: &Scenario, artifact: &str) -> String {
+    format!("{}|{artifact}", study_key(scenario))
+}
+
+/// Renders one artifact for `scenario` in a fresh context: validate,
+/// then [`render_artifact_in`]. `dcnr artifact` prints this.
 pub fn render_artifact_text(scenario: &Scenario, e: Experiment) -> Result<String, DcnrError> {
     scenario.validate()?;
-    let ctx = RunContext::new(*scenario);
+    render_artifact_in(&RunContext::new(*scenario), e)
+}
+
+/// Renders one artifact from `ctx`, running its study on first use,
+/// with a study panic converted to a typed error at this boundary,
+/// exactly like `RunContext::try_execute`. Both `dcnr artifact` and the
+/// server's miss path render through this, which is what makes their
+/// bytes identical.
+pub fn render_artifact_in(ctx: &RunContext, e: Experiment) -> Result<String, DcnrError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         artifacts::render_block(&ctx.artifact(e))
     }))
@@ -879,8 +1037,8 @@ pub fn render_artifact_text(scenario: &Scenario, e: Experiment) -> Result<String
         context: format!(
             "artifact {} ({} scenario seed {:#x})",
             e.key(),
-            scenario.kind,
-            scenario.seed
+            ctx.scenario().kind,
+            ctx.scenario().seed
         ),
         message: panic_message(payload.as_ref()),
     })
@@ -938,6 +1096,92 @@ mod tests {
         assert_eq!(
             cache_key(&a, "fig15"),
             cache_key(&a.with_seed(a.seed), "fig15")
+        );
+    }
+
+    #[test]
+    fn study_key_is_shared_by_a_studys_artifacts_and_split_by_every_knob() {
+        let intra = |e| scenario_for_artifact(e, "seed=5").unwrap();
+        let (table1, fig2, fig3) = (
+            intra(Experiment::Table1),
+            intra(Experiment::Fig2),
+            intra(Experiment::Fig3),
+        );
+        assert_eq!(study_key(&table1), study_key(&fig2));
+        assert_eq!(study_key(&table1), study_key(&fig3));
+        assert_ne!(cache_key(&table1, "table1"), cache_key(&fig2, "fig2"));
+
+        let base = Scenario::cli_default(ScenarioKind::Intra);
+        let mut keys = vec![study_key(&base)];
+        for knob in [
+            "seed=6",
+            "scale=2",
+            "edges=41",
+            "vendors=3",
+            "no-automation",
+            "no-drain",
+            "topology=dcell",
+            "loss-rate=0.5",
+            "corrupt-rate=0.5",
+        ] {
+            keys.push(study_key(&scenario_from_query(base, knob).unwrap()));
+        }
+        keys.push(study_key(&Scenario {
+            kind: ScenarioKind::Backbone,
+            ..base
+        }));
+        let distinct: std::collections::HashSet<_> = keys.iter().collect();
+        assert_eq!(distinct.len(), keys.len(), "every knob splits studies");
+    }
+
+    #[test]
+    fn study_cache_keeps_held_contexts_and_the_most_recent_one() {
+        let studies = StudyCache::default();
+        let a = Scenario::cli_default(ScenarioKind::Backbone);
+        let (b, c) = (a.with_seed(1), a.with_seed(2));
+        let (held, hit) = studies.context(&a);
+        assert!(!hit);
+        let (again, hit) = studies.context(&a);
+        assert!(hit && Arc::ptr_eq(&held, &again));
+        drop(again);
+        // `a` is held, so it survives losing the most-recent slot.
+        let _ = studies.context(&b);
+        assert!(studies.context(&a).1);
+        // `b` is held by nobody: the next study displaces it.
+        let _ = studies.context(&c);
+        assert!(!studies.context(&b).1);
+        drop(held);
+        // Dead entries are pruned on insert: with no holders, only the
+        // most recent study and the one it displaced are still listed.
+        for seed in 3..10 {
+            let _ = studies.context(&a.with_seed(seed));
+        }
+        assert_eq!(lock(&studies.map).live.len(), 2);
+    }
+
+    #[test]
+    fn a_panicking_study_build_leaves_no_context_behind() {
+        let studies = StudyCache::default();
+        let good = Scenario {
+            scale: 0.25,
+            ..Scenario::cli_default(ScenarioKind::Survivability)
+        };
+        // Validation refuses unknown topologies; the study itself panics.
+        let bad = Scenario {
+            topology: "hypercube",
+            ..good
+        };
+        let err = studies.render(&bad, Experiment::SurvRanking).unwrap_err();
+        assert_eq!(err.kind(), "panic", "{err}");
+        {
+            let map = lock(&studies.map);
+            assert!(map.live.is_empty(), "no dead context stays listed");
+            assert!(map.recent.is_none(), "no dead context stays resident");
+        }
+        assert!(!studies.context(&bad).1, "the next miss starts afresh");
+        assert_eq!(
+            studies.render(&good, Experiment::SurvRanking).unwrap(),
+            render_artifact_text(&good, Experiment::SurvRanking).unwrap()
         );
     }
 

@@ -2,14 +2,16 @@
 //! surface and the CLI rendering path (cold cache, warm cache, and
 //! under concurrent clients), saturation shedding with 503 +
 //! `Retry-After` instead of hangs, a strictly validated Prometheus
-//! `/metrics` endpoint, checkpoint-directory sweep reports, and
-//! graceful drain via `/admin/shutdown`.
+//! `/metrics` endpoint, checkpoint-directory sweep reports, graceful
+//! drain via `/admin/shutdown`, one study build and one render per key
+//! for concurrent cold clients, and a clean exit when `dcnr`'s stdout
+//! pipe closes early.
 
 use dcnr_core::serve::{self, ServeOptions};
 use dcnr_core::telemetry::prometheus;
 use dcnr_core::{Experiment, Scenario, ScenarioKind, SupervisorConfig, SweepConfig};
 use dcnr_server::client;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const TIMEOUT: Option<Duration> = Some(Duration::from_secs(30));
@@ -322,4 +324,88 @@ fn admission_metrics_appear_only_when_admission_control_is_on() {
         0.0
     );
     server.shutdown_and_join();
+}
+
+#[test]
+fn concurrent_cold_clients_share_one_study_build_and_one_render_per_key() {
+    // N clients each ask for the K intra artifacts of one scenario, all
+    // N·K requests at once. The intra study at its default scale takes
+    // long enough that every request arrives while it is being built.
+    const N: usize = 4;
+    let artifacts = [Experiment::Table1, Experiment::Fig2, Experiment::Fig3];
+    let k = artifacts.len();
+    let query = "seed=23";
+    let server = Arc::new(
+        serve::start(&ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            workers: N * k,
+            ..ServeOptions::default()
+        })
+        .unwrap(),
+    );
+    let start = Arc::new(Barrier::new(N * k));
+    let handles: Vec<_> = (0..N)
+        .flat_map(|_| artifacts)
+        .map(|e| {
+            let (server, start) = (server.clone(), start.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                let resp = get(&server, &format!("/artifacts/{}?{query}", e.key()));
+                assert_eq!(resp.status, 200, "{e:?}");
+                (e, resp.body)
+            })
+        })
+        .collect();
+    let bodies: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("client thread"))
+        .collect();
+
+    let metrics = validated_metrics(&server);
+    let total = |name| metric_total(&metrics, name);
+    assert_eq!(
+        total("dcnr_server_study_cache_misses_total"),
+        1.0,
+        "{metrics}"
+    );
+    assert_eq!(total("dcnr_server_study_cache_hits_total"), (k - 1) as f64);
+    assert_eq!(
+        total("dcnr_server_cache_misses_total"),
+        k as f64,
+        "{metrics}"
+    );
+    assert_eq!(total("dcnr_server_coalesced_total"), (N * k - k) as f64);
+    assert_eq!(total("dcnr_server_cache_hits_total"), (N * k - k) as f64);
+
+    // Every body is the `dcnr artifact` rendering of its key.
+    for e in artifacts {
+        let scenario = serve::scenario_for_artifact(e, query).unwrap();
+        let expected = serve::render_artifact_text(&scenario, e).unwrap();
+        for (_, body) in bodies.iter().filter(|(got, _)| *got == e) {
+            assert_eq!(
+                body,
+                expected.as_bytes(),
+                "{e:?}: HTTP bytes must equal the CLI's"
+            );
+        }
+    }
+    Arc::try_unwrap(server)
+        .unwrap_or_else(|_| panic!("all clients joined"))
+        .shutdown_and_join();
+}
+
+#[test]
+fn a_closed_stdout_pipe_is_a_clean_exit() {
+    // The read end is closed before `dcnr` starts, so its first write
+    // fails with EPIPE: the command must still exit 0, without a panic.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dcnr"))
+        .args(["artifact", "--list"])
+        .stdout(writer)
+        .output()
+        .expect("run dcnr");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
