@@ -17,6 +17,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> perfbench build + tests (the benchmark harness compiles against core's serve API)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> sweep smoke (release, byte-identity across worker counts)"
 cargo build --release --bin dcnr
 ./target/release/dcnr sweep --scenario backbone --seeds 2 --jobs 2 \
@@ -164,11 +168,6 @@ grep -q '^dcnr_server_cache_hits_total' /tmp/dcnr_serve_metrics.prom
 # server series-for-series.
 ! grep -q '^dcnr_server_admission_dropped_total' /tmp/dcnr_serve_metrics.prom
 ! grep -q '^dcnr_server_queue_sojourn_micros' /tmp/dcnr_serve_metrics.prom
-# The default threads engine must not grow the events-only series: no
-# shard counters, no reactor wakeups/histogram — the scrape matches the
-# pre-reactor server series-for-series.
-! grep -q 'dcnr_server_cache_shard_' /tmp/dcnr_serve_metrics.prom
-! grep -q 'dcnr_server_reactor_' /tmp/dcnr_serve_metrics.prom
 # One artifact fetched over HTTP must be byte-identical to the CLI.
 ./target/release/dcnr artifact fig15 --seed 11 --scale 0.25 \
     --edges 40 --vendors 16 >/tmp/dcnr_artifact_cli.out
@@ -228,53 +227,6 @@ DCNR_ADDR=$(cat /tmp/dcnr_chaos_off_port)
 cmp /tmp/dcnr_artifact_cli.out /tmp/dcnr_artifact_chaos_off.out
 ./target/release/dcnr -q fetch "$DCNR_ADDR" /admin/shutdown >/dev/null
 wait "$DCNR_CHAOS_OFF_PID"
-
-echo "==> events-engine smoke (epoll reactor: loadgen, parity, graceful drain)"
-# The same serve contract on --engine events: a verified closed-loop
-# load run, a strict /metrics scrape that now carries the shard +
-# reactor series, CLI-vs-HTTP byte-identity, zero-rate chaos
-# invisibility (the shim is installed but every rate is zero), and a
-# graceful drain that exits 0.
-rm -f /tmp/dcnr_events_port
-./target/release/dcnr -q serve --addr 127.0.0.1:0 --admin --engine events \
-    --chaos-seed 7 --port-file /tmp/dcnr_events_port &
-DCNR_EVENTS_PID=$!
-DCNR_BG_PIDS="$DCNR_BG_PIDS $DCNR_EVENTS_PID"
-i=0
-while [ ! -s /tmp/dcnr_events_port ]; do
-    i=$((i + 1))
-    [ "$i" -le 100 ] || { echo "events server never bound" >&2; exit 1; }
-    sleep 0.1
-done
-DCNR_ADDR=$(cat /tmp/dcnr_events_port)
-./target/release/dcnr fetch "$DCNR_ADDR" /healthz | grep -q '^ok$'
-./target/release/dcnr -q loadgen --addr "$DCNR_ADDR" \
-    --clients 4 --requests 6 --verify \
-    --artifacts fig15,fig16,table4 --scale 0.25 --edges 40 --vendors 16 \
-    >/dev/null
-./target/release/dcnr -q fetch "$DCNR_ADDR" /metrics --validate \
-    >/tmp/dcnr_events_metrics.prom
-grep -q '^dcnr_server_cache_shard_hits_total{shard=' /tmp/dcnr_events_metrics.prom
-grep -q '^dcnr_server_reactor_wakeups_total' /tmp/dcnr_events_metrics.prom
-grep -q '^dcnr_server_reactor_ready_events_bucket' /tmp/dcnr_events_metrics.prom
-# The reactor serves the same bytes as the CLI render even with the
-# zero-rate chaos shim in the write path.
-./target/release/dcnr -q fetch "$DCNR_ADDR" \
-    '/artifacts/fig15?seed=11&scale=0.25&edges=40&vendors=16' \
-    >/tmp/dcnr_artifact_events.out
-cmp /tmp/dcnr_artifact_cli.out /tmp/dcnr_artifact_events.out
-# An unknown engine id is a usage error (exit 2) naming the menu.
-dcnr_engine_status=0
-./target/release/dcnr serve --addr 127.0.0.1:0 --engine fibers \
-    >/dev/null 2>/tmp/dcnr_engine_err.log || dcnr_engine_status=$?
-[ "$dcnr_engine_status" -eq 2 ] || {
-    echo "expected exit 2 for an unknown engine, got $dcnr_engine_status" >&2
-    exit 1
-}
-grep -q 'valid engines' /tmp/dcnr_engine_err.log
-# Graceful drain: /admin/shutdown must end the reactor with exit 0.
-./target/release/dcnr -q fetch "$DCNR_ADDR" /admin/shutdown >/dev/null
-wait "$DCNR_EVENTS_PID"
 
 echo "==> chaos-serve smoke (resilience harness verdict under faults)"
 # Full chaos: injected delays, resets, truncations, corruptions, and

@@ -108,8 +108,7 @@ USAGE:
                    build, issue generation per device type,
                    remediation, SEV analysis, backbone, aggregation),
                    and write it to PATH (default BENCH_profile.json).
-    dcnr serve     [--addr HOST:PORT] [--engine threads|events]
-                   [--workers W] [--queue-depth Q]
+    dcnr serve     [--addr HOST:PORT] [--workers W] [--queue-depth Q]
                    [--cache-entries E] [--sweep-root DIR] [--admin]
                    [--port-file PATH] [--chaos-* ...]
                    [--breaker-threshold N] [--breaker-cooldown-ms MS]
@@ -117,16 +116,11 @@ USAGE:
                    [--render-fault-limit N] [--render-fault-seed S]
                    Serve study reports over HTTP on a fixed worker pool
                    with a bounded accept queue (overload sheds 503 +
-                   Retry-After; never hangs). --engine picks the
-                   serving core: `threads` (default) blocks a pool
-                   thread per connection; `events` runs W epoll
-                   reactor workers with per-worker sharded caches —
-                   the wire bytes are identical either way. --workers 0
-                   auto-detects available parallelism (pool threads or
-                   reactor workers). GET /artifacts/{id} (with
-                   scenario flags as query parameters, e.g.
-                   /artifacts/fig15?seed=7&scale=0.5) renders any
-                   registry artifact byte-identically to
+                   Retry-After; never hangs). --workers 0
+                   auto-detects available parallelism. GET
+                   /artifacts/{id} (with scenario flags as query
+                   parameters, e.g. /artifacts/fig15?seed=7&scale=0.5)
+                   renders any registry artifact byte-identically to
                    `dcnr artifact`, through an LRU result cache keyed
                    by scenario+seed+artifact; /sweeps/{dir} aggregates
                    an existing checkpoint directory under --sweep-root;
@@ -166,7 +160,6 @@ USAGE:
                    [--retries K] [--backoff-ms MS] [--backoff-cap-ms MS]
                    [--deadline-ms MS] [--min-success F]
                    [--bench-json PATH] [--bench-append]
-                   [--bench-label ENGINE]
                    [--timeout-secs T] [scenario flags]
                    [--open-loop [--rate R] [--overload X]
                    [--arrivals N] [--max-in-flight N]
@@ -184,9 +177,7 @@ USAGE:
                    are classified ok / retried-ok / shed / gave-up /
                    corrupt. --verify compares every body byte-for-byte
                    against a local render; --bench-json writes the run
-                   record (--bench-append adds to an existing file,
-                   --bench-label tags the record's engine key so
-                   threads and events rows stay distinguishable).
+                   record (--bench-append adds to an existing file).
                    --chaos is the resilience harness: verification is
                    forced, the verdict fails unless the eventual
                    success rate is >= --min-success (default 0.99) AND

@@ -10,7 +10,8 @@
 //!   the way (callers store floats via [`f64::to_bits`]).
 //! * **Named errors** — a corrupt shard produces a position-stamped
 //!   message for [`crate::error::DcnrError::Checkpoint`], never a
-//!   panic.
+//!   panic. Nesting is capped at [`MAX_DEPTH`], so a crafted document
+//!   cannot overflow the parser's stack.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -99,11 +100,16 @@ impl Json {
     }
 }
 
+/// How deeply arrays and objects may nest. Checkpoint and bench
+/// documents nest about four levels; the cap bounds the parser's
+/// recursion, so a crafted document is an error, not a stack overflow.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document; trailing garbage is an error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -131,12 +137,18 @@ fn expect_byte(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` open arrays
+/// and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -219,10 +231,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one full UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                let ch = rest.chars().next().expect("non-empty by match arm");
+                // Advance one full UTF-8 character, validating only its
+                // own bytes (the lead byte gives the width).
+                let width = match bytes[*pos] {
+                    b if b < 0x80 => 1,
+                    b if b >= 0xF0 => 4,
+                    b if b >= 0xE0 => 3,
+                    _ => 2,
+                };
+                let ch = bytes
+                    .get(*pos..*pos + width)
+                    .and_then(|c| std::str::from_utf8(c).ok())
+                    .and_then(|c| c.chars().next())
+                    .ok_or_else(|| format!("invalid UTF-8 at byte {}", *pos))?;
                 out.push(ch);
                 *pos += ch.len_utf8();
             }
@@ -230,7 +251,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect_byte(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -239,7 +260,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -252,7 +273,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect_byte(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -265,7 +286,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect_byte(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -371,6 +392,17 @@ mod tests {
     }
 
     #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Validating the rest of the document for every character made
+        // this ~10^10 byte checks; one pass over 300 kB is milliseconds.
+        let long = "µ".repeat(150_000);
+        let started = std::time::Instant::now();
+        let v = parse(&format!("{{\"k\": \"{long}\"}}")).unwrap();
+        assert_eq!(v.get("k").unwrap().as_str().unwrap(), long);
+        assert!(started.elapsed() < std::time::Duration::from_secs(2));
+    }
+
+    #[test]
     fn named_errors_for_malformed_documents() {
         assert!(parse("{").unwrap_err().contains("unexpected end"));
         assert!(parse("[1,]").unwrap_err().contains("byte"));
@@ -378,6 +410,43 @@ mod tests {
         assert!(parse("tru").unwrap_err().contains("literal"));
         assert!(parse("\"abc").unwrap_err().contains("unterminated"));
         assert!(parse("1.2.3").unwrap_err().contains("malformed number"));
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_named_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"k\": ".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).unwrap_err().contains("nesting"));
+        // Far past any stack: fails fast at the cap.
+        assert!(parse(&"[".repeat(2_000_000))
+            .unwrap_err()
+            .contains("nesting"));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(
+            raw in proptest::collection::vec(proptest::strategy::any::<u8>(), 0..512),
+            opened in 0usize..200_000,
+            brackets in proptest::collection::vec(
+                proptest::sample::select(b"[]{}\":, 1".to_vec()),
+                0..4096,
+            ),
+        ) {
+            // Raw bytes as a checkpoint reader sees them (lossy UTF-8),
+            // and bracket-heavy text that mostly nests past the cap.
+            let _ = parse(&String::from_utf8_lossy(&raw));
+            let mut deep = "[".repeat(opened).into_bytes();
+            deep.extend_from_slice(&brackets);
+            let _ = parse(&String::from_utf8_lossy(&deep));
+        }
     }
 
     #[test]

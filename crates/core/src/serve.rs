@@ -36,8 +36,8 @@ use crate::experiments::Experiment;
 use crate::scenario::{RunContext, Scenario};
 use crate::sweep;
 use dcnr_server::breaker::{BreakerConfig, CircuitBreaker};
+use dcnr_server::cache::LruCache;
 use dcnr_server::chaos::ChaosState;
-use dcnr_server::event::{EventServer, ReactorStats, ShardedLru, READY_BOUNDS};
 use dcnr_server::http::{percent_decode, Request, Response};
 use dcnr_server::pool::{AdmissionConfig, Handler, Server, ServerConfig, ServerStats};
 use dcnr_sim::rng::derive_indexed_seed;
@@ -51,53 +51,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
-/// Which serving engine backs `dcnr serve`. Both speak the same wire
-/// protocol through the same handler — the engine-parity integration
-/// test `cmp`s their bytes — so the choice is purely operational.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The blocking worker thread pool (the default): one thread per
-    /// in-flight connection stage, kernel socket timeouts.
-    #[default]
-    Threads,
-    /// The epoll reactor: N event-loop workers multiplexing every
-    /// connection, timer-wheel deadlines, per-worker sharded caches.
-    Events,
-}
-
-impl Engine {
-    /// Every valid `--engine` id, for usage errors and docs.
-    pub const VALID_IDS: &'static str = "threads, events";
-
-    /// Resolves an `--engine` id; an unknown id is a usage error naming
-    /// the menu (the `--topology` discipline).
-    pub fn parse(id: &str) -> Result<Engine, DcnrError> {
-        match id {
-            "threads" => Ok(Engine::Threads),
-            "events" => Ok(Engine::Events),
-            other => Err(DcnrError::Usage(format!(
-                "unknown engine {other:?} (valid engines: {})",
-                Engine::VALID_IDS
-            ))),
-        }
-    }
-
-    /// The id this engine is selected by.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Threads => "threads",
-            Engine::Events => "events",
-        }
-    }
-}
-
 /// Everything `dcnr serve` needs to start.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Bind address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// Which engine serves: the thread pool or the epoll reactor.
-    pub engine: Engine,
     /// Worker thread count; `0` auto-detects
     /// `std::thread::available_parallelism()`.
     pub workers: usize,
@@ -130,7 +88,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:7878".into(),
-            engine: Engine::default(),
             workers: 4,
             queue_depth: 64,
             cache_entries: 64,
@@ -194,19 +151,15 @@ impl RenderFaultPlan {
 /// Shared state behind the request handler.
 struct ServeState {
     telemetry: TelemetryHandle,
-    /// Rendered-artifact result cache. Sharded per worker on the events
-    /// engine (hash of the cache key picks the shard); a single shard on
-    /// the threads engine, which is observation-equivalent to the plain
-    /// mutex-wrapped LRU it replaces.
-    cache: ShardedLru<String, Arc<String>>,
+    /// Rendered-artifact result cache.
+    cache: Mutex<LruCache<String, Arc<String>>>,
     /// Last-known-good renders, retained past `cache` eviction so the
     /// degraded paths (breaker open, render failure, saturation) can
     /// serve something honest — always flagged with `X-Dcnr-Stale`.
-    stale: ShardedLru<String, Arc<String>>,
+    stale: Mutex<LruCache<String, Arc<String>>>,
     stats: Arc<ServerStats>,
     sweep_root: PathBuf,
     admin: bool,
-    engine: Engine,
     workers: usize,
     queue_depth: usize,
     draining: AtomicBool,
@@ -216,9 +169,6 @@ struct ServeState {
     breakers: Mutex<HashMap<&'static str, CircuitBreaker>>,
     render_faults: RenderFaultPlan,
     render_attempts: AtomicU64,
-    /// Reactor counters, published once after the events engine binds
-    /// (and only then exported on `/metrics`); never set on threads.
-    reactor: std::sync::OnceLock<Arc<ReactorStats>>,
     /// Built studies, shared by every artifact of one scenario.
     studies: StudyCache,
     /// Renders in flight, by cache key: a concurrent miss on the same
@@ -228,6 +178,11 @@ struct ServeState {
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The body cached under `key`, if any; the lock is released on return.
+fn cached(cache: &Mutex<LruCache<String, Arc<String>>>, key: &str) -> Option<Arc<String>> {
+    lock(cache).get(key).cloned()
 }
 
 /// Built study contexts, so that every artifact of one scenario renders
@@ -332,31 +287,9 @@ impl Drop for Leader<'_> {
     }
 }
 
-/// The engine actually serving, behind one seam.
-enum EngineServer {
-    Threads(Server),
-    Events(EventServer),
-}
-
-impl EngineServer {
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            EngineServer::Threads(s) => s.local_addr(),
-            EngineServer::Events(s) => s.local_addr(),
-        }
-    }
-
-    fn shutdown_and_join(self) {
-        match self {
-            EngineServer::Threads(s) => s.shutdown_and_join(),
-            EngineServer::Events(s) => s.shutdown_and_join(),
-        }
-    }
-}
-
 /// A started server plus the state handles tests and the CLI loop need.
 pub struct RunningServer {
-    server: Option<EngineServer>,
+    server: Option<Server>,
     state: Arc<ServeState>,
     addr: SocketAddr,
 }
@@ -382,11 +315,6 @@ impl RunningServer {
         self.state.workers
     }
 
-    /// The engine serving this instance.
-    pub fn engine(&self) -> Engine {
-        self.state.engine
-    }
-
     /// The live chaos state, when fault injection is enabled.
     pub fn chaos(&self) -> Option<&Arc<ChaosState>> {
         self.state.chaos.as_ref()
@@ -404,7 +332,7 @@ impl RunningServer {
 /// in [`run`]; tests drive the returned handle directly.
 pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
     let stats = Arc::new(ServerStats::default());
-    let workers = resolve_workers(opts.workers, opts.engine);
+    let workers = resolve_workers(opts.workers);
     let chaos = opts
         .chaos
         .clone()
@@ -412,21 +340,13 @@ pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
     if let Some(c) = &chaos {
         logger::info(format!("chaos enabled: {}", c.plan().describe()));
     }
-    // One shard per reactor on the events engine so workers answering
-    // different artifacts touch different locks; a single shard on the
-    // threads engine keeps its behavior (and `/metrics`) unchanged.
-    let shards = match opts.engine {
-        Engine::Threads => 1,
-        Engine::Events => workers,
-    };
     let state = Arc::new(ServeState {
         telemetry: Telemetry::new_handle(),
-        cache: ShardedLru::new(shards, opts.cache_entries.max(1)),
-        stale: ShardedLru::new(shards, opts.cache_entries.max(1) * 8),
+        cache: Mutex::new(LruCache::new(opts.cache_entries)),
+        stale: Mutex::new(LruCache::new(opts.cache_entries.max(1) * 8)),
         stats: stats.clone(),
         sweep_root: opts.sweep_root.clone(),
         admin: opts.admin,
-        engine: opts.engine,
         workers,
         queue_depth: opts.queue_depth.max(1),
         draining: AtomicBool::new(false),
@@ -436,7 +356,6 @@ pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
         breakers: Mutex::new(HashMap::new()),
         render_faults: opts.render_faults,
         render_attempts: AtomicU64::new(0),
-        reactor: std::sync::OnceLock::new(),
         studies: StudyCache::default(),
         flights: Mutex::new(HashMap::new()),
     });
@@ -451,21 +370,11 @@ pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
         chaos,
         ..ServerConfig::default()
     };
-    let bind_err = |e: std::io::Error| DcnrError::Io {
-        path: opts.addr.clone(),
-        message: format!("bind: {e}"),
-    };
-    let server = match opts.engine {
-        Engine::Threads => EngineServer::Threads(
-            Server::bind(opts.addr.as_str(), config, stats, handler).map_err(bind_err)?,
-        ),
-        Engine::Events => {
-            let server =
-                EventServer::bind(opts.addr.as_str(), config, stats, handler).map_err(bind_err)?;
-            let _ = state.reactor.set(server.reactor_stats());
-            EngineServer::Events(server)
-        }
-    };
+    let server =
+        Server::bind(opts.addr.as_str(), config, stats, handler).map_err(|e| DcnrError::Io {
+            path: opts.addr.clone(),
+            message: format!("bind: {e}"),
+        })?;
     let addr = server.local_addr();
     if let Some(path) = &opts.port_file {
         std::fs::write(path, format!("{addr}\n")).map_err(|e| DcnrError::Io {
@@ -482,11 +391,9 @@ pub fn start(opts: &ServeOptions) -> Result<RunningServer, DcnrError> {
 
 /// Resolves a `--workers` value: `0` auto-detects the machine's
 /// available parallelism (logged, and exported as the
-/// `dcnr_server_workers` gauge); anything else is taken as given.
-/// Engine-aware: the detected count means pool threads on `threads`
-/// and reactor event loops on `events` — either way it is the
-/// available parallelism, never below 1.
-pub(crate) fn resolve_workers(requested: usize, engine: Engine) -> usize {
+/// `dcnr_server_workers` gauge), never below 1; anything else is taken
+/// as given.
+pub(crate) fn resolve_workers(requested: usize) -> usize {
     if requested != 0 {
         return requested;
     }
@@ -494,12 +401,8 @@ pub(crate) fn resolve_workers(requested: usize, engine: Engine) -> usize {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
         .max(1);
-    let noun = match engine {
-        Engine::Threads => "worker thread",
-        Engine::Events => "reactor worker",
-    };
     logger::info(format!(
-        "--workers 0: auto-detected {detected} {noun}{}",
+        "--workers 0: auto-detected {detected} worker thread{}",
         if detected == 1 { "" } else { "s" }
     ));
     detected
@@ -511,9 +414,8 @@ pub fn run(opts: &ServeOptions) -> Result<(), DcnrError> {
     dcnr_server::signal::install_sigint_latch();
     let server = start(opts)?;
     logger::info(format!(
-        "serving on http://{} ({} engine, {} workers, queue depth {}, cache {} entries)",
+        "serving on http://{} ({} workers, queue depth {}, cache {} entries)",
         server.addr(),
-        server.engine().name(),
         server.workers(),
         opts.queue_depth.max(1),
         opts.cache_entries.max(1),
@@ -632,7 +534,7 @@ fn metrics_response(state: &ServeState) -> Response {
             .counters
             .insert(key(name), value.load(Ordering::Relaxed));
     }
-    let cache_entries = state.cache.len() as i64;
+    let cache_entries = lock(&state.cache).len() as i64;
     for (name, value) in [
         (
             "dcnr_server_queue_depth",
@@ -656,38 +558,6 @@ fn metrics_response(state: &ServeState) -> Response {
             snapshot.counters.insert(
                 Key::new("dcnr_server_chaos_injections_total", &[("fault", fault)]),
                 count,
-            );
-        }
-    }
-    // Engine-specific series exist only on the events engine: the
-    // default threads scrape must stay byte-identical to the pre-engine
-    // server (the same discipline as the admission gating below).
-    if state.engine == Engine::Events {
-        for (shard, (hits, misses, evictions)) in state.cache.shard_snapshots().iter().enumerate() {
-            let label = shard.to_string();
-            for (name, value) in [
-                ("dcnr_server_cache_shard_hits_total", *hits),
-                ("dcnr_server_cache_shard_misses_total", *misses),
-                ("dcnr_server_cache_shard_evictions_total", *evictions),
-            ] {
-                snapshot
-                    .counters
-                    .insert(Key::new(name, &[("shard", &label)]), value);
-            }
-        }
-        if let Some(reactor) = state.reactor.get() {
-            snapshot
-                .counters
-                .insert(key("dcnr_server_reactor_wakeups_total"), reactor.wakeups());
-            let (counts, sum, count) = reactor.ready_histogram();
-            snapshot.histograms.insert(
-                key("dcnr_server_reactor_ready_events"),
-                dcnr_telemetry::metrics::HistogramSnapshot {
-                    bounds: READY_BOUNDS.to_vec(),
-                    counts,
-                    sum,
-                    count,
-                },
             );
         }
     }
@@ -757,7 +627,7 @@ fn stale_response(
     artifact: &'static str,
     cause: &str,
 ) -> Option<Response> {
-    let body = state.stale.get(key)?;
+    let body = cached(&state.stale, key)?;
     dcnr_telemetry::counter_add(
         "dcnr_server_stale_total",
         &[("artifact", artifact), ("cause", cause)],
@@ -789,7 +659,7 @@ fn artifact_response(state: &ServeState, id: &str, query: &str) -> Response {
     };
     let artifact_key = experiment.key();
     let key = cache_key(&scenario, artifact_key);
-    if let Some(body) = state.cache.get(&key) {
+    if let Some(body) = cached(&state.cache, &key) {
         return cache_hit(artifact_key, &body);
     }
 
@@ -802,7 +672,7 @@ fn artifact_response(state: &ServeState, id: &str, query: &str) -> Response {
         return follow(state, &key, artifact_key, &flight);
     }
     // A leader that landed since the lookup above has filled the cache.
-    if let Some(body) = state.cache.get(&key) {
+    if let Some(body) = cached(&state.cache, &key) {
         return cache_hit(artifact_key, &body);
     }
     dcnr_telemetry::counter_add(
@@ -854,8 +724,8 @@ fn artifact_response(state: &ServeState, id: &str, query: &str) -> Response {
             breaker.record_success();
             drop(breakers);
             let body = Arc::new(text);
-            state.cache.insert(key.clone(), body.clone());
-            state.stale.insert(key.clone(), body.clone());
+            lock(&state.cache).insert(key.clone(), body.clone());
+            lock(&state.stale).insert(key.clone(), body.clone());
             let response = Response::ok(body.as_str());
             leader.outcome = Some(Ok(body));
             response
@@ -1252,36 +1122,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_ids_parse_and_unknown_ids_name_the_menu() {
-        assert_eq!(Engine::parse("threads").unwrap(), Engine::Threads);
-        assert_eq!(Engine::parse("events").unwrap(), Engine::Events);
-        assert_eq!(Engine::default(), Engine::Threads);
-        let err = Engine::parse("fibers").unwrap_err();
-        assert_eq!(err.kind(), "usage");
-        assert_eq!(err.exit_code(), 2);
-        let msg = err.to_string();
-        assert!(
-            msg.contains("fibers") && msg.contains(Engine::VALID_IDS),
-            "{msg}"
-        );
-    }
-
-    #[test]
-    fn worker_auto_detection_is_engine_aware_and_never_zero() {
-        // Explicit counts pass through untouched on both engines.
-        assert_eq!(resolve_workers(3, Engine::Threads), 3);
-        assert_eq!(resolve_workers(3, Engine::Events), 3);
+    fn worker_auto_detection_is_never_zero() {
+        // Explicit counts pass through untouched.
+        assert_eq!(resolve_workers(3), 3);
         // Zero auto-detects: whatever the machine reports, the result
-        // is at least one pool thread / reactor worker.
-        for engine in [Engine::Threads, Engine::Events] {
-            assert!(resolve_workers(0, engine) >= 1, "{engine:?}");
-        }
-        // Both engines detect the same parallelism; only the noun in
-        // the log differs.
-        assert_eq!(
-            resolve_workers(0, Engine::Threads),
-            resolve_workers(0, Engine::Events)
-        );
+        // is at least one worker thread.
+        assert!(resolve_workers(0) >= 1);
     }
 
     #[test]

@@ -43,12 +43,9 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Inserts `key -> value`, evicting the least-recently-used entry
-    /// if the cache is at capacity and `key` is new. Returns the evicted
-    /// key, if any, so callers (the sharded cache's eviction counters)
-    /// can observe displacement.
-    pub fn insert(&mut self, key: K, value: V) -> Option<K> {
+    /// if the cache is at capacity and `key` is new.
+    pub fn insert(&mut self, key: K, value: V) {
         self.tick += 1;
-        let mut evicted = None;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             if let Some(oldest) = self
                 .entries
@@ -57,11 +54,9 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
                 .map(|(k, _)| k.clone())
             {
                 self.entries.remove(&oldest);
-                evicted = Some(oldest);
             }
         }
         self.entries.insert(key, (self.tick, value));
-        evicted
     }
 
     /// Current entry count.
@@ -87,10 +82,10 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let mut cache = LruCache::new(2);
-        assert_eq!(cache.insert("a", 1), None);
-        assert_eq!(cache.insert("b", 2), None);
+        cache.insert("a", 1);
+        cache.insert("b", 2);
         assert_eq!(cache.get("a"), Some(&1)); // refresh a; b is now LRU
-        assert_eq!(cache.insert("c", 3), Some("b"));
+        cache.insert("c", 3);
         assert_eq!(cache.get("b"), None);
         assert_eq!(cache.get("a"), Some(&1));
         assert_eq!(cache.get("c"), Some(&3));
@@ -102,7 +97,7 @@ mod tests {
         let mut cache = LruCache::new(2);
         cache.insert("a", 1);
         cache.insert("b", 2);
-        assert_eq!(cache.insert("a", 10), None);
+        cache.insert("a", 10);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get("a"), Some(&10));
         assert_eq!(cache.get("b"), Some(&2));

@@ -185,40 +185,46 @@ impl HttpError {
 
 /// Reads and parses one request head from `stream`. Honors the socket's
 /// read timeout: a stalled peer surfaces as [`HttpError::Io`].
+///
+/// A head is accepted only when its `\r\n\r\n` terminator ends within
+/// [`MAX_HEAD_BYTES`], so the verdict depends on the bytes alone, never
+/// on how the peer split them across reads.
 pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 1024];
-    let end = loop {
-        if let Some(pos) = find_head_end(&head) {
-            break pos;
-        }
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(HttpError::TooLarge);
-        }
+    loop {
         let n = stream.read(&mut buf).map_err(HttpError::Io)?;
         if n == 0 {
             return Err(HttpError::Malformed("connection closed mid-request".into()));
         }
+        // A terminator may straddle the previous read: rescan its last
+        // three bytes, never the whole buffer again.
+        let scan_from = head.len().saturating_sub(3);
         head.extend_from_slice(&buf[..n]);
-    };
-    // Bytes past the head are ignored: GET/HEAD requests carry no body
-    // we care about, and the connection closes after one response.
-    parse_request_bytes(&head[..end])
+        if let Some(pos) = find_head_end(&head[scan_from..]) {
+            let end = scan_from + pos;
+            if end + 4 > MAX_HEAD_BYTES {
+                return Err(HttpError::TooLarge);
+            }
+            // Bytes past the head are ignored: GET/HEAD requests carry
+            // no body we care about, and the connection closes after
+            // one response.
+            return parse_request_bytes(&head[..end]);
+        }
+        if head.len() >= MAX_HEAD_BYTES {
+            return Err(HttpError::TooLarge);
+        }
+    }
 }
 
 /// Position of the `\r\n\r\n` head terminator in `buf`, if present.
-/// The event engine's incremental reader calls this on its accumulation
-/// buffer after every readiness-driven read.
-pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
+fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
 /// Parses an already-accumulated request head (the bytes *before* the
-/// `\r\n\r\n` terminator). The incremental entry point for the event
-/// engine; [`read_request`] is the blocking wrapper over the same
-/// parser, so both engines reject exactly the same heads with exactly
-/// the same errors.
-pub(crate) fn parse_request_bytes(head: &[u8]) -> Result<Request, HttpError> {
+/// `\r\n\r\n` terminator).
+fn parse_request_bytes(head: &[u8]) -> Result<Request, HttpError> {
     let text = std::str::from_utf8(head)
         .map_err(|_| HttpError::Malformed("request head is not UTF-8".into()))?;
     parse_head(text)

@@ -13,8 +13,8 @@
 //!   `Retry-After` instead of letting latency pile up unbounded.
 //!   Per-connection read/write timeouts bound slow peers, and shutdown
 //!   drains queued connections before the workers exit.
-//! * [`cache`] — a small LRU map the application layer keys its
-//!   rendered-artifact result cache with.
+//! * [`cache`] — a small LRU map the application layer keeps its
+//!   rendered-artifact result and stale caches in.
 //! * [`client`] — a minimal blocking HTTP GET client, used by the
 //!   `dcnr loadgen` closed-loop harness and the CI smoke. Cross-checks
 //!   `Content-Length` and the `X-Dcnr-Checksum` body hash, so
@@ -25,13 +25,6 @@
 //!   rates are zero.
 //! * [`breaker`] — a per-route circuit breaker with half-open probes,
 //!   used by the application layer around the render path.
-//! * [`event`] — the second engine: an `epoll(7)` reactor
-//!   ([`event::EventServer`]) serving the same handler surface as
-//!   [`pool`] with N event-loop workers, a timer wheel instead of
-//!   socket timeouts, and per-worker sharded caches
-//!   ([`event::ShardedLru`]). Selected with `dcnr serve --engine
-//!   events`; wire-byte parity with the pool engine is enforced by
-//!   test.
 //! * [`signal`] — a SIGINT latch so the CLI can drain gracefully on
 //!   Ctrl-C.
 //!
@@ -48,7 +41,6 @@ pub mod breaker;
 pub mod cache;
 pub mod chaos;
 pub mod client;
-pub mod event;
 pub mod http;
 pub mod pool;
 pub mod signal;
@@ -57,7 +49,6 @@ pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::LruCache;
 pub use chaos::{ChaosState, ConnFaults, FaultPlan};
 pub use client::{get, ClientResponse};
-pub use event::{EventServer, EventShutdownHandle, ReactorStats, ShardedLru, READY_BOUNDS};
 pub use http::{body_checksum, percent_decode, Request, Response};
 pub use pool::{
     AdmissionConfig, Handler, Server, ServerConfig, ServerStats, SOJOURN_BOUNDS_MICROS,

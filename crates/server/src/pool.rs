@@ -183,41 +183,39 @@ impl ServerStats {
     }
 }
 
-/// One accepted connection waiting for a worker (or a reactor), stamped
-/// at enqueue so its queue sojourn is measurable at dequeue. Shared with
-/// the event engine, whose accept handoff uses the same lanes.
-pub(crate) struct QueuedConn {
-    pub(crate) stream: TcpStream,
-    pub(crate) faults: ConnFaults,
-    pub(crate) enqueued: Instant,
+/// One accepted connection waiting for a worker, stamped at enqueue so
+/// its queue sojourn is measurable at dequeue.
+struct QueuedConn {
+    stream: TcpStream,
+    faults: ConnFaults,
+    enqueued: Instant,
 }
 
 /// The two accept lanes. The priority lane exists only when
 /// `AdmissionConfig::priority_depth > 0`; workers always drain it
 /// first, and it is never sojourn-shed.
 #[derive(Default)]
-pub(crate) struct Queues {
-    pub(crate) normal: VecDeque<QueuedConn>,
-    pub(crate) priority: VecDeque<QueuedConn>,
+struct Queues {
+    normal: VecDeque<QueuedConn>,
+    priority: VecDeque<QueuedConn>,
 }
 
 impl Queues {
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.normal.len() + self.priority.len()
     }
 }
 
 /// Windowed drain-rate estimate feeding the adaptive `Retry-After`.
-/// Refreshed on ≥250ms windows (EWMA over the handled-counter delta);
-/// both engines carry one behind a mutex.
-pub(crate) struct DrainEstimator {
+/// Refreshed on ≥250ms windows (EWMA over the handled-counter delta).
+struct DrainEstimator {
     window_start: Instant,
     handled_then: u64,
     rate_per_sec: f64,
 }
 
 impl DrainEstimator {
-    pub(crate) fn start() -> Self {
+    fn start() -> Self {
         Self {
             window_start: Instant::now(),
             handled_then: 0,
@@ -227,7 +225,7 @@ impl DrainEstimator {
 
     /// Refreshes the windowed estimate from the live handled counter and
     /// returns the current drain rate (requests per second).
-    pub(crate) fn rate(&mut self, handled_now: u64) -> f64 {
+    fn rate(&mut self, handled_now: u64) -> f64 {
         let elapsed = self.window_start.elapsed();
         if elapsed >= Duration::from_millis(250) {
             let instant_rate =
@@ -255,7 +253,7 @@ struct Shared {
     drain: Mutex<DrainEstimator>,
 }
 
-pub(crate) fn unpoison<T>(r: Result<T, PoisonError<T>>) -> T {
+fn unpoison<T>(r: Result<T, PoisonError<T>>) -> T {
     // A handler panic is caught per-connection; queue state is a plain
     // VecDeque of sockets and stays valid.
     r.unwrap_or_else(PoisonError::into_inner)
@@ -460,8 +458,7 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
 /// lane (`GET /healthz`, `GET /readyz`, `GET /metrics`). Peeks without
 /// consuming, bounded to ~20ms of waiting for the head to arrive;
 /// anything ambiguous, slow, or failing routes to the normal lane.
-/// Shared with the event engine's accept loop.
-pub(crate) fn classify_priority(stream: &TcpStream) -> bool {
+fn classify_priority(stream: &TcpStream) -> bool {
     const PATTERNS: [&[u8]; 3] = [b"GET /healthz", b"GET /readyz", b"GET /metrics"];
     if stream.set_nonblocking(true).is_err() {
         return false;
@@ -515,32 +512,24 @@ fn retry_after_from(depth: f64, rate_per_sec: f64, fallback: u32) -> u32 {
 /// off this is exactly the configured constant (wire-identical to the
 /// pre-admission server); with it on, the drain-rate estimator is
 /// refreshed and the hint becomes "how long until the current queue
-/// drains". Shared by both engines.
-pub(crate) fn shed_retry_after_with(
-    config: &ServerConfig,
-    stats: &ServerStats,
-    drain: &Mutex<DrainEstimator>,
-) -> u32 {
+/// drains".
+fn shed_retry_after(shared: &Shared) -> u32 {
+    let config = &shared.config;
     if !config.admission.adaptive_retry_after {
         return config.retry_after_secs;
     }
-    let rate = unpoison(drain.lock()).rate(stats.handled.load(Ordering::Relaxed));
-    let depth = stats.queue_depth.load(Ordering::Relaxed).max(0) as f64;
+    let rate = unpoison(shared.drain.lock()).rate(shared.stats.handled.load(Ordering::Relaxed));
+    let depth = shared.stats.queue_depth.load(Ordering::Relaxed).max(0) as f64;
     retry_after_from(depth, rate, config.retry_after_secs)
-}
-
-fn shed_retry_after(shared: &Shared) -> u32 {
-    shed_retry_after_with(&shared.config, &shared.stats, &shared.drain)
 }
 
 /// Answers `503 Retry-After` on an over-capacity connection. The
 /// client's request bytes are drained (briefly) before the socket is
 /// dropped: closing with unread data in the receive buffer makes Linux
 /// send RST, which can destroy the in-flight 503 on the client side.
-/// Blocking; shared by both engines' accept paths.
-pub(crate) fn shed_conn(stream: &mut TcpStream, write_timeout: Duration, retry_after_secs: u32) {
-    let _ = stream.set_write_timeout(Some(write_timeout));
-    let _ = Response::unavailable(retry_after_secs).write_to(stream);
+fn shed(stream: &mut TcpStream, shared: &Shared) {
+    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+    let _ = Response::unavailable(shed_retry_after(shared)).write_to(stream);
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let mut sink = [0u8; 1024];
@@ -552,14 +541,6 @@ pub(crate) fn shed_conn(stream: &mut TcpStream, write_timeout: Duration, retry_a
             Ok(_) => {}
         }
     }
-}
-
-fn shed(stream: &mut TcpStream, shared: &Shared) {
-    shed_conn(
-        stream,
-        shared.config.write_timeout,
-        shed_retry_after(shared),
-    );
 }
 
 fn worker_loop(shared: &Shared) {

@@ -409,3 +409,52 @@ fn a_closed_stdout_pipe_is_a_clean_exit() {
     assert!(out.status.success(), "{:?}: {stderr}", out.status);
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn a_deeply_nested_sweep_manifest_is_an_http_error_and_the_server_stays_up() {
+    // The server runs as its own process: an unbounded parser would
+    // abort it on this request, and the test would see it gone.
+    let root = std::env::temp_dir().join(format!("dcnr-serve-deep-{}", std::process::id()));
+    let dir = root.join("deep");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("manifest.json"), "[".repeat(2_000_000)).unwrap();
+    let port_file = root.join("port");
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_dcnr"))
+        .args([
+            "-q",
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--admin",
+            "--sweep-root",
+        ])
+        .arg(&root)
+        .arg("--port-file")
+        .arg(&port_file)
+        .spawn()
+        .expect("start dcnr serve");
+    let addr = (0..200)
+        .find_map(|_| {
+            let text = std::fs::read_to_string(&port_file).unwrap_or_default();
+            if text.ends_with('\n') {
+                Some(text.trim().to_string())
+            } else {
+                std::thread::sleep(Duration::from_millis(25));
+                None
+            }
+        })
+        .expect("the server writes its port file");
+
+    let resp = client::get(&addr, "/sweeps/deep", TIMEOUT);
+    let healthz = client::get(&addr, "/healthz", TIMEOUT);
+    let shutdown = client::get(&addr, "/admin/shutdown", TIMEOUT);
+    let status = child.wait().expect("dcnr serve exits");
+    std::fs::remove_dir_all(&root).ok();
+
+    let resp = resp.expect("/sweeps/deep answers");
+    assert_eq!(resp.status, 404, "{}", String::from_utf8_lossy(&resp.body));
+    assert!(String::from_utf8_lossy(&resp.body).contains("nesting"));
+    assert_eq!(healthz.expect("/healthz answers").body, b"ok\n");
+    assert_eq!(shutdown.expect("/admin/shutdown answers").status, 200);
+    assert!(status.success(), "{status:?}");
+}

@@ -266,3 +266,26 @@ fn hostile_chaos_sweep_survives_under_supervision() {
     assert!(!out.rows.is_empty());
     assert!(out.gate(0).is_ok(), "acceptance failures are not failures");
 }
+
+#[test]
+fn a_deeply_nested_manifest_is_a_checkpoint_error_not_a_crash() {
+    // 2,000,000 `[` would overflow an unbounded recursive parser's
+    // stack and abort the process (exit 134); the nesting cap turns it
+    // into the usual named checkpoint error.
+    let dir = temp_dir("deep-manifest");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("manifest.json"), "[".repeat(2_000_000)).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dcnr"))
+        .arg("sweep")
+        .arg("--resume")
+        .arg(&dir)
+        .output()
+        .expect("run dcnr");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{:?}: {stderr}", out.status);
+    assert!(
+        stderr.contains("checkpoint") && stderr.contains("nesting"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
